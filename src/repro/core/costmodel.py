@@ -30,7 +30,6 @@ and replaced by the true factors ``m_c · fo_c`` (COM: by branch survival).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .jointree import EdgeStats, JoinTree
@@ -384,17 +383,20 @@ def sj_costs(
 def sj_optimal_phase2_order(tree: JoinTree, *, com: bool) -> list[str]:
     """§3.6 phase-2 orders: STD → greedy increasing adjusted fanout
     (rank ordering, all selectivities 1); COM → increasing product of
-    adjusted fanouts from the root (precedence-safe since fo' >= 1)."""
+    adjusted fanouts from the root. Both pick greedily among the eligible
+    relations, so an m' = 0 edge (fo' = 0) cannot precede its parent."""
     _, adj = sj_adjusted(tree)
-    if com:
-        pathprod: dict[str, float] = {tree.root: 1.0}
-        for n in tree.bfs_order()[1:]:
-            pathprod[n] = pathprod[tree.parent[n]] * max(adj[n].fo, 1e-300)
-        return sorted(tree.nonroot, key=lambda c: (pathprod[c], tree.depth(c), c))
+    pathprod: dict[str, float] = {tree.root: 1.0}
+    for n in tree.bfs_order()[1:]:
+        pathprod[n] = pathprod[tree.parent[n]] * max(adj[n].fo, 1e-300)
+
+    def key(c: str) -> tuple:
+        return (pathprod[c], tree.depth(c), c) if com else (adj[c].fo, c)
+
     order: list[str] = []
     processed: set[str] = set()
     while len(order) < len(tree.nonroot):
-        nxt = min(tree.eligible(processed), key=lambda c: (adj[c].fo, c))
+        nxt = min(tree.eligible(processed), key=key)
         order.append(nxt)
         processed.add(nxt)
     return order
@@ -440,10 +442,3 @@ def survival_probability(tree: JoinTree, processed: set[str]) -> float:
     for c in tree.children(tree.root):
         prod *= branch_factor(tree, c, processed)
     return prod
-
-
-def nan_guard(x: float) -> float:
-    """Clamp numerical noise from repeated (1-(1-p)^fo) arithmetic."""
-    if math.isnan(x):
-        return 0.0
-    return x

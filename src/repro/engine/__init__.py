@@ -3,6 +3,6 @@
 Entry point: :func:`repro.engine.runner.run_strategy`.
 """
 from .common import EngineResult
-from .runner import run_strategy, run_from_pandas
+from .runner import run_strategy
 
-__all__ = ["EngineResult", "run_strategy", "run_from_pandas"]
+__all__ = ["EngineResult", "run_strategy"]

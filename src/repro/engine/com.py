@@ -1,22 +1,29 @@
 """COM / BVP+COM: factorized execution avoiding redundant probes (§4.2–4.3).
 
-The factorized intermediate representation is realized relationally:
+The factorized intermediate representation is realized relationally, as
+one *spine* frame per joined node:
 
 - ``spine[n]`` — the flat expansion of the *path* driver→n only (the
   analogue of the paper's per-node VectorColumns grouped under their
-  ancestors' count columns); built once, when n is joined, from the alive
-  spine of its parent — this is where redundant probes are avoided, since
-  side branches never multiply into the probe stream;
-- ``alive[n]`` — the surviving composite keys (id columns along the path)
-  of n's spine, the analogue of the selection vectors; deaths propagate
-  upward when a processed branch finds no match, and downward lazily via
-  probe-time semi-joins against every path ancestor's alive set;
-- the final *expansion* (§4.3 "Result Expansion") joins the per-edge match
-  tables back along the tree to emit flat output tuples.
+  ancestors' count columns); built when n is joined, from its parent's
+  spine — this is where redundant probes are avoided, since side branches
+  never multiply into the probe stream;
+- survival is the spine itself, pruned in place (the analogue of the
+  selection vectors). Every relation carries a unique ``<R>__id``, so a
+  spine row is unique on its composite key (the id columns along the
+  path) and the spine's key set *is* n's alive set. After ``l`` joins,
+  each path ancestor's spine is re-derived as the distinct projection of
+  ``l``'s new spine — the upward death propagation, with no join. Deaths
+  flow downward lazily: a probe from ``p`` semi-joins ``p``'s spine
+  against only those path ancestors rebuilt after ``p``'s spine was;
+- the final *expansion* (§4.3 "Result Expansion") inner-joins the pruned
+  spines back along the tree in BFS order, which drops rows whose
+  ancestors died; factorized sizes are counted top-down, each spine
+  semi-joined to its parent's final spine.
 
 Every operation below is a Catalyst plan (joins, left-semi joins,
-distinct); ``localCheckpoint`` pins the factorized state exactly where
-the paper's engine materializes its intermediate vectors.
+distinct); one ``localCheckpoint`` per joined relation pins the
+factorized state where the paper's engine materializes its vectors.
 """
 from __future__ import annotations
 
@@ -45,15 +52,17 @@ def run_com(
     driver = data[root]
     if gater:
         driver = gater.gate_children(driver, root, order_pos, counts, measure)
-    driver = ckpt(driver)
-    spine: dict[str, DataFrame] = {root: driver}
-    alive: dict[str, DataFrame] = {root: ckpt(driver.select(keycols(tree, root)).distinct())}
+    spine: dict[str, DataFrame] = {root: ckpt(driver)}
+    # The step at which each spine was last rebuilt. A rebuild leaves the
+    # spine consistent with all its path ancestors' spines of that step.
+    built: dict[str, int] = {root: 0}
 
-    for l in order:
+    for step, l in enumerate(order, 1):
         p = tree.parent[l]
         asp = spine[p]
-        for a in tree.path_from_root(p):
-            asp = asp.join(alive[a], on=keycols(tree, a), how="left_semi")
+        for a in tree.path_to_root(p)[1:]:
+            if built[a] > built[p]:
+                asp = asp.join(spine[a].select(keycols(tree, a)), on=keycols(tree, a), how="left_semi")
         if measure:
             # The probe-side frame is consumed once; pin it only when the
             # count action would otherwise recompute it.
@@ -61,45 +70,37 @@ def run_com(
             counts.hash_probes[l] = float(asp.count())
         pcol, ccol = tree.join_cols[l]
         sp = asp.join(data[l], on=asp[pcol] == data[l][ccol], how="inner")
-        sp = ckpt(sp)
         if measure:
+            sp = ckpt(sp)
             counts.tuples_generated += sp.count()
         if gater and tree.children(l):
-            sp = ckpt(gater.gate_children(sp, l, order_pos, counts, measure))
-        spine[l] = sp
-        alive[l] = ckpt(sp.select(keycols(tree, l)).distinct())
-        # Upward death propagation along the path to the root.
-        child = l
+            sp = gater.gate_children(sp, l, order_pos, counts, measure)
+        spine[l] = sp = ckpt(sp)
+        built[l] = step
+        # Upward death propagation: ``asp`` carried every ancestor's deaths,
+        # so an ancestor survives iff it still has a row in ``sp``.
         for a in tree.path_to_root(l)[1:]:
-            surv = (
-                spine[child]
-                .join(alive[child], on=keycols(tree, child), how="left_semi")
-                .select(keycols(tree, a))
-                .distinct()
-            )
-            alive[a] = ckpt(alive[a].join(surv, on=keycols(tree, a), how="left_semi"))
-            child = a
+            spine[a] = sp.select(spine[a].columns).distinct()
+            built[a] = step
 
-    final: dict[str, DataFrame] = {}
-    count_fact = measure or not flat_output
-    fact_rows = 0 if count_fact else None
-    for n in [root, *order]:
-        sp = spine[n]
-        for a in tree.path_from_root(n):
-            sp = sp.join(alive[a], on=keycols(tree, a), how="left_semi")
-        if count_fact:
-            sp = ckpt(sp)
-            fact_rows += sp.count()
-        final[n] = sp
+    fact_rows = None
+    if measure or not flat_output:
+        final: dict[str, DataFrame] = {}
+        for n in [root, *order]:
+            sp = spine[n]
+            if n != root:
+                p = tree.parent[n]
+                sp = sp.join(final[p].select(keycols(tree, p)), on=keycols(tree, p), how="left_semi")
+            final[n] = ckpt(sp) if tree.children(n) else sp
+        fact_rows = sum(sp.count() for sp in final.values())
 
     if not flat_output:
         return None, fact_rows
 
-    flat = final[root]
+    flat = spine[root]
     for c in tree.bfs_order()[1:]:
         p = tree.parent[c]
-        own = data[c].columns
-        piece = final[c].select(keycols(tree, p) + own)
+        piece = spine[c].select(keycols(tree, p) + data[c].columns)
         flat = flat.join(piece, on=keycols(tree, p), how="inner")
         if measure:
             flat = ckpt(flat)

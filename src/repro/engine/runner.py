@@ -87,16 +87,3 @@ def run_strategy(
         wall_time_s=wall,
         result=result if keep_result else None,
     )
-
-
-def run_from_pandas(
-    spark: SparkSession,
-    tree: JoinTree,
-    pdata,
-    strategy: str,
-    order: list[str] | None = None,
-    **kw,
-) -> EngineResult:
-    """Convenience wrapper: load pandas relations into Spark and run."""
-    data = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
-    return run_strategy(spark, tree, data, strategy, order, **kw)

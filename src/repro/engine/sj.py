@@ -14,7 +14,7 @@ from pyspark.sql import functions as F
 from repro.core.costmodel import CostBreakdown, sj_adjusted
 from repro.core.jointree import JoinTree
 
-from .common import Gater, ckpt
+from .common import ckpt
 
 
 def run_sj_phase1(
@@ -66,7 +66,3 @@ def run_sj(
     if com:
         return run_com(tree, reduced, order, None, counts, measure, flat_output)
     return run_std(tree, reduced, order, None, counts, measure), None
-
-
-# re-exported for the runner's BVP wiring type hints
-__all__ = ["run_sj", "run_sj_phase1", "Gater"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import random
+import zlib
 from typing import Any
 
 from repro.core.jointree import JoinTree
@@ -23,6 +24,12 @@ def md_table(rows: list[dict[str, Any]], cols: list[str] | None = None, floatfmt
     for r in rows:
         out.append("| " + " | ".join(fmt(r.get(c, "")) for c in cols) + " |")
     return "\n".join(out)
+
+
+def seeded_rng(*parts: Any) -> random.Random:
+    """An RNG seeded from ``parts`` identically in every process (``hash``
+    of a string is randomized per process; CRC-32 of the repr is not)."""
+    return random.Random(zlib.crc32(repr(parts).encode()))
 
 
 def env_int(name: str, default: int) -> int:

@@ -10,8 +10,6 @@ paper's timed-out red data points (all STD variants there too).
 """
 from __future__ import annotations
 
-import random
-
 from pyspark.sql import SparkSession
 
 from repro.core.costmodel import STRATEGIES, plan_costs
@@ -20,7 +18,7 @@ from repro.core.robustness import M_RANGES
 from repro.engine import run_strategy
 from repro.synth_data import tree_dataset
 
-from .common import env_float, env_int, md_table
+from .common import env_float, env_int, md_table, seeded_rng
 from .shapes import SHAPES, sample_shaped_tree
 
 COM_VARIANTS = ("COM", "BVP+COM", "SJ+COM")
@@ -35,7 +33,7 @@ def run(spark: SparkSession, *, n_driver: int | None = None, seed: int = 0, shap
     rows = []
     for shape in shapes:
         for mr in m_ranges:
-            rng = random.Random((seed, shape, mr).__hash__() & 0x7FFFFFFF)
+            rng = seeded_rng(seed, shape, mr)
             tree = sample_shaped_tree(shape, rng, m_range=mr, n_driver=n_driver, max_out=max_out)
             sdata, _ = tree_dataset(spark, tree, n_driver, seed=rng.randrange(1 << 30))
             order = greedy_order(tree, "survival", n_driver)

@@ -22,7 +22,7 @@ from repro.core.simulator import simulate
 from repro.engine import run_strategy
 from repro.synth_data import tree_dataset
 
-from .common import env_int, md_table, random_valid_order
+from .common import env_int, md_table, random_valid_order, seeded_rng
 from .shapes import sample_shaped_tree
 
 
@@ -56,7 +56,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
     w = Weights()
     rows = []
     for qname, tree, pdata in _queries(seed, n_driver):
-        rng = random.Random((seed, qname).__hash__() & 0x7FFFFFFF)
+        rng = seeded_rng(seed, qname)
         if pdata is None:
             from repro.core.datagen import gen_tree_data
 

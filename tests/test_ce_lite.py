@@ -1,5 +1,9 @@
 """CE-lite datasets and query sampling (pure pandas — fast)."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,29 @@ class TestDatasets:
         b = load_dataset("yago_lite", sf=0.1, seed=3)
         for k in a:
             assert a[k].equals(b[k])
+
+    def test_same_in_every_process(self):
+        # ``hash`` of a string changes with PYTHONHASHSEED; dataset seeds and
+        # the experiments' per-query RNGs must not.
+        import repro
+
+        code = (
+            "import zlib\n"
+            "from repro.ce_lite import load_dataset\n"
+            "from repro.experiments.common import seeded_rng\n"
+            "t = load_dataset('yago_lite', sf=0.1, seed=3)\n"
+            "print([zlib.crc32(t[k].to_numpy().tobytes()) for k in sorted(t)], seeded_rng(3, 'star').random())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(h)},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for h in (1, 2)
+        ]
+        assert outs[0] == outs[1]
 
     def test_edges_deduplicated(self, dblp):
         for df in dblp.values():

@@ -1,8 +1,10 @@
 """Spark engine: result correctness (DuckDB oracle), probe-count equality
 with the reference simulator, and strategy semantics."""
+import numpy as np
 import pandas as pd
 import pytest
 
+from repro.ce_lite import bind_query
 from repro.core import costmodel as cm
 from repro.core import jointree as jt
 from repro.core.datagen import gen_tree_data
@@ -108,6 +110,85 @@ class TestSimulatorEquivalence:
         sim = simulate(tree, pdata, strategy)
         assert eng.counts.hash_probes == sim.counts.hash_probes
         assert eng.out_rows == sim.out_rows
+
+
+def mn_tables() -> dict[str, pd.DataFrame]:
+    """Small edge tables with duplicate, zipf-skewed keys; ``z`` shares no
+    ``src`` value with any ``dst`` (an m = 0 edge)."""
+    rng = np.random.default_rng(11)
+
+    def skewed(n, dom, alpha):
+        w = np.arange(1, dom + 1, dtype=float) ** -alpha
+        return rng.choice(dom, size=n, p=w / w.sum())
+
+    t = {
+        lab: pd.DataFrame({"src": skewed(n, ds, 1.0), "dst": skewed(n, dd, 0.8)})
+        for lab, n, ds, dd in (("a", 30, 8, 12), ("b", 25, 14, 8), ("c", 20, 10, 6))
+    }
+    t["z"] = pd.DataFrame({"src": np.arange(100, 110), "dst": np.arange(10)})
+    return t
+
+
+# Depth 3 with a side branch, so the probe from Q2 into Q4 must see the
+# deaths that joining Q3 caused at the root; "empty" adds an m = 0 leaf
+# under Q3, which kills every row.
+MN_OCC = {"Q1": "a", "Q2": "b", "Q3": "c", "Q4": "a", "Q5": "b"}
+MN_EDGES = {
+    "Q2": ("Q1", "dst", "src"),
+    "Q3": ("Q1", "src", "src"),
+    "Q4": ("Q2", "dst", "src"),
+    "Q5": ("Q4", "dst", "dst"),
+}
+MN_QUERIES = {
+    "mn": (MN_OCC, MN_EDGES),
+    "empty": ({**MN_OCC, "Q6": "z"}, {**MN_EDGES, "Q6": ("Q3", "dst", "src")}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MN_QUERIES))
+def mn(request, spark):
+    occ, edges = MN_QUERIES[request.param]
+    tree, pdata = bind_query(mn_tables(), occ, edges, "Q1")
+    sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
+    return tree, sdata, pdata
+
+
+class TestManyToMany:
+    """Composite spine keys only matter when keys repeat: counts, factorized
+    sizes and results on many-to-many data, with and without an m = 0 edge."""
+
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_matches_simulator_and_duckdb(self, spark, mn, strategy):
+        tree, sdata, pdata = mn
+        for flat in (True, False):
+            eng = run_strategy(spark, tree, sdata, strategy, flat_output=flat, keep_result=flat)
+            sim = simulate(tree, pdata, strategy, flat_output=flat)
+            assert eng.order == sim.order
+            assert eng.counts == sim.counts
+            assert eng.factorized_rows == sim.factorized_rows
+            assert eng.out_rows == sim.out_rows
+            if flat:
+                assert_equivalent(eng.result, oracle_sql(tree), **pdata)
+
+
+class TestJobCount:
+    """COM's Spark jobs grow with the number of joins, not with depth."""
+
+    @pytest.mark.parametrize("mk", [lambda: jt.star(6), lambda: jt.centered_path(11)], ids=["star7", "path11"])
+    def test_com_jobs_linear_in_joins(self, spark, mk):
+        tree = mk()
+        pdata = gen_tree_data(tree, 200, seed=3)
+        sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
+        sc = spark.sparkContext
+        group = f"com-jobs-{len(tree.nodes)}"
+        sc.setJobGroup(group, "COM job count")
+        try:
+            res = run_strategy(spark, tree, sdata, "COM", measure=False)
+            jobs = sc.statusTracker().getJobIdsForGroup(group)
+        finally:
+            sc._jsc.clearJobGroup()
+        assert res.out_rows == simulate(tree, pdata, "COM").out_rows
+        assert len(jobs) <= 10 * len(tree.nonroot), f"{len(jobs)} jobs"
 
 
 class TestStrategySemantics:
